@@ -11,7 +11,6 @@
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
-#include "common/version.hpp"
 #include "core/engine.hpp"
 #include "core/sim.hpp"
 #include "driver/runs.hpp"
@@ -34,19 +33,6 @@ inline bool full_run() {
   if (g_full_forced) return true;
   const char* v = std::getenv("ISSR_BENCH_FULL");
   return v != nullptr && v[0] == '1';
-}
-
-/// Tree identity stamped into the throughput-trajectory JSON documents
-/// (BENCH_simspeed.json / BENCH_sweepspeed.json). One implementation
-/// with the results-JSON provenance header (common/version.hpp):
-/// ISSR_GIT_DESCRIBE overrides, then `git describe`, then "unknown".
-inline std::string git_describe() { return issr::engine_version(); }
-
-/// Fixed four-decimal rendering for the throughput JSON/table numbers.
-inline std::string fmt_fixed4(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
 }
 
 /// Shared bench command line (the one flag dispatch for every figure/table

@@ -315,8 +315,16 @@ Table perf_report_table(const std::vector<ScenarioResult>& results) {
     // entry the benches report — so the report and the benches can never
     // disagree about the headline number.
     const double util = r.metrics.value("util_fpu");
-    const double ref =
-        paper_util_reference(r.scenario.variant, r.scenario.width);
+    // The Fig. 4a anchors describe single-CC SpVV only; every other
+    // kernel or shape has no paper reference to compare against.
+    std::string ref_cell = "-", vs_ref_cell = "-";
+    if (r.scenario.kernel == Kernel::kSpvv && r.scenario.cores == 1 &&
+        r.scenario.clusters == 1) {
+      const double ref =
+          paper_util_reference(r.scenario.variant, r.scenario.width);
+      ref_cell = fmt_f(ref, 2);
+      vs_ref_cell = fmt_f(util / ref, 2);
+    }
     // Parallel-System columns: thread count the run used and the
     // fraction of simulated cycles that had to execute in rotating-order
     // lockstep (the engine's contention-bound floor — 1.00 means the
@@ -327,8 +335,7 @@ Table perf_report_table(const std::vector<ScenarioResult>& results) {
         r.cycles > 0 ? static_cast<double>(r.par.lockstep_cycles) /
                            static_cast<double>(r.cycles)
                      : 0.0;
-    t.add_row({r.scenario.name(), fmt_f(util), fmt_f(ref, 2),
-               fmt_f(ref > 0.0 ? util / ref : 0.0, 2),
+    t.add_row({r.scenario.name(), fmt_f(util), ref_cell, vs_ref_cell,
                trace::to_string(worst), fmt_f(r.stalls.fraction(worst)),
                fmt_f(r.metrics.value("util_noc_link")),
                fmt_f(r.metrics.value("tcdm_conflict_rate")),

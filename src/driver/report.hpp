@@ -57,8 +57,9 @@ double paper_util_reference(kernels::Variant v, sparse::IndexWidth w);
 
 /// Build the bottleneck table (--perf-report): per scenario, the FPU
 /// utilization from the metrics registry next to the paper's reference
-/// anchor, the dominant (largest non-fp_compute) stall bucket with its
-/// fraction of core-cycles, and the NoC-link/TCDM pressure gauges.
+/// anchor (single-CC SpVV rows only; "-" elsewhere), the dominant
+/// (largest non-fp_compute) stall bucket with its fraction of
+/// core-cycles, and the NoC-link/TCDM pressure gauges.
 Table perf_report_table(const std::vector<ScenarioResult>& results);
 
 /// Render the --list-scenarios/--dry-run listing: one line per scenario

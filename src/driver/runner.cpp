@@ -7,7 +7,6 @@
 #include "common/log.hpp"
 #include "driver/assets.hpp"
 #include "driver/runs.hpp"
-#include "driver/sweep.hpp"
 #include "metrics/harvest.hpp"
 #include "trace/chrome.hpp"
 #include "trace/ring.hpp"
@@ -249,16 +248,6 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts,
     }
   }
   return out;
-}
-
-std::vector<ScenarioResult> run_scenarios(
-    const std::vector<Scenario>& scenarios, unsigned jobs,
-    const RunOptions& opts) {
-  SweepSpec spec;
-  spec.scenarios = scenarios;
-  spec.jobs = jobs;
-  spec.options = opts;
-  return run_sweep(spec).results;
 }
 
 }  // namespace issr::driver

@@ -1,9 +1,8 @@
 // Scenario execution: run_scenario() materializes a scenario's workload
 // from its derived seed (or picks it up from the sweep asset cache),
 // dispatches to the right simulator (single CC or cluster), and collects
-// a uniform metrics record; run_scenarios() fans a scenario list across
-// the work-stealing sweep engine (driver/sweep.hpp). Results land at
-// their scenario's index, so the output is identical for any job count.
+// a uniform metrics record. Sweeps over scenario lists go through
+// run_sweep() (driver/sweep.hpp).
 #pragma once
 
 #include <cstddef>
@@ -122,13 +121,5 @@ struct SweepContext {
 /// with cores = 1.
 ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts = {},
                             const SweepContext& ctx = {});
-
-/// Run every scenario, fanning across `jobs` worker threads (jobs <= 1
-/// runs inline on the calling thread). Thin wrapper over run_sweep()
-/// (driver/sweep.hpp) with the asset cache on. Results are positionally
-/// aligned with `scenarios` and bitwise independent of `jobs`.
-std::vector<ScenarioResult> run_scenarios(
-    const std::vector<Scenario>& scenarios, unsigned jobs,
-    const RunOptions& opts = {});
 
 }  // namespace issr::driver

@@ -326,7 +326,7 @@ TEST(RunScenario, SpvvValidates) {
 
 // --- Parallel sweep determinism ---------------------------------------------
 
-TEST(RunScenarios, ParallelMatchesSerialBitwise) {
+TEST(RunSweep, ParallelMatchesSerialBitwise) {
   auto m = tiny_matrix();
   m.variants = {kernels::Variant::kBase, kernels::Variant::kSsr,
                 kernels::Variant::kIssr};
@@ -334,8 +334,12 @@ TEST(RunScenarios, ParallelMatchesSerialBitwise) {
   const auto scenarios = m.expand();
   ASSERT_EQ(scenarios.size(), 6u);
 
-  const auto serial = run_scenarios(scenarios, 1);
-  const auto parallel = run_scenarios(scenarios, 4);
+  SweepSpec spec;
+  spec.scenarios = scenarios;
+  spec.jobs = 1;
+  const auto serial = run_sweep(spec).results;
+  spec.jobs = 4;
+  const auto parallel = run_sweep(spec).results;
   ASSERT_EQ(serial.size(), parallel.size());
 
   // Results must agree field-for-field, and the emitted documents must be
@@ -351,12 +355,15 @@ TEST(RunScenarios, ParallelMatchesSerialBitwise) {
   EXPECT_EQ(results_to_csv(serial), results_to_csv(parallel));
 }
 
-TEST(RunScenarios, MoreJobsThanScenarios) {
+TEST(RunSweep, MoreJobsThanScenarios) {
   ScenarioMatrix m = tiny_matrix();
   m.variants = {kernels::Variant::kIssr};
   const auto scenarios = m.expand();
   ASSERT_EQ(scenarios.size(), 1u);
-  const auto results = run_scenarios(scenarios, 16);
+  SweepSpec spec;
+  spec.scenarios = scenarios;
+  spec.jobs = 16;
+  const auto results = run_sweep(spec).results;
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].ok);
 }

@@ -17,6 +17,7 @@
 #include "driver/runner.hpp"
 #include "driver/runs.hpp"
 #include "driver/scenario.hpp"
+#include "driver/sweep.hpp"
 #include "isa/assembler.hpp"
 #include "kernels/csrmv.hpp"
 #include "kernels/kargs.hpp"
@@ -71,14 +72,16 @@ TEST(EngineEquivalence, ScenarioMatrixResultFilesAreBytewiseIdentical) {
   const auto scenarios = sweep_scenarios();
   ASSERT_FALSE(scenarios.empty());
 
+  driver::SweepSpec spec;
+  spec.scenarios = scenarios;
   std::vector<driver::ScenarioResult> fast, ref;
   {
     ScopedFastForward ff(true);
-    fast = driver::run_scenarios(scenarios, /*jobs=*/1, {});
+    fast = driver::run_sweep(spec).results;
   }
   {
     ScopedFastForward ff(false);
-    ref = driver::run_scenarios(scenarios, /*jobs=*/1, {});
+    ref = driver::run_sweep(spec).results;
   }
   ASSERT_EQ(fast.size(), ref.size());
   for (std::size_t i = 0; i < fast.size(); ++i) {

@@ -323,5 +323,34 @@ TEST(ResultsV6, PaperReferenceAnchors) {
             0.67);
 }
 
+TEST(PerfReport, PaperReferenceOnlyOnSingleCcSpvvRows) {
+  // The Fig. 4a anchors describe single-CC SpVV; a cluster or CsrMV row
+  // must print "-" in both reference columns rather than compare itself
+  // against an anchor that does not apply to it.
+  const auto outcome = sweep(mixed_scenarios(), 2);
+  const Table t = driver::perf_report_table(outcome.results);
+  ASSERT_EQ(t.rows(), outcome.results.size());
+  ASSERT_EQ(t.header()[2], "paper ref");
+  ASSERT_EQ(t.header()[3], "vs ref");
+  unsigned spvv_rows = 0, other_rows = 0;
+  for (std::size_t i = 0; i < t.rows(); ++i) {
+    const Scenario& s = outcome.results[i].scenario;
+    const auto& row = t.row(i);
+    if (s.kernel == Kernel::kSpvv && s.cores == 1 && s.clusters == 1) {
+      ++spvv_rows;
+      const double ref = driver::paper_util_reference(s.variant, s.width);
+      EXPECT_EQ(row[2], fmt_f(ref, 2)) << s.name();
+      EXPECT_EQ(row[3], fmt_f(outcome.results[i].fpu_util / ref, 2))
+          << s.name();
+    } else {
+      ++other_rows;
+      EXPECT_EQ(row[2], "-") << s.name();
+      EXPECT_EQ(row[3], "-") << s.name();
+    }
+  }
+  EXPECT_GT(spvv_rows, 0u);
+  EXPECT_GT(other_rows, 0u);
+}
+
 }  // namespace
 }  // namespace issr

@@ -337,12 +337,20 @@ TEST(SweepEngine, CostModelOrdersByWorkAndEngine) {
   EXPECT_GT(estimated_cost(denser), estimated_cost(small));
 }
 
-TEST(SweepEngine, RunScenariosWrapperMatchesRunSweep) {
+TEST(SweepEngine, DefaultSpecSharesAssetsAndRunsOnce) {
+  // A spec that sets only scenarios and jobs runs every scenario once
+  // with the asset cache on, and matches the uncached serial sweep.
   auto scenarios = mixed_fig_scenarios();
   scenarios.resize(5);
-  const auto via_wrapper = run_scenarios(scenarios, 3);
-  const auto via_sweep = sweep(scenarios, 3, /*cache=*/true);
-  EXPECT_EQ(results_to_json(via_wrapper), results_to_json(via_sweep.results));
+  SweepSpec spec;
+  spec.scenarios = scenarios;
+  spec.jobs = 3;
+  const auto outcome = run_sweep(spec);
+  EXPECT_EQ(outcome.stats.runs, scenarios.size());
+  EXPECT_GT(outcome.stats.cache.workload_builds, 0u);
+  const auto uncached = sweep(scenarios, 1, /*cache=*/false);
+  EXPECT_EQ(results_to_json(outcome.results),
+            results_to_json(uncached.results));
 }
 
 TEST(SweepEngine, EmptySweepIsWellFormed) {
