@@ -60,14 +60,6 @@ only clusters > 1 runs consult them):
                      fine-grained global tile plan: on, off [on]
                      (simulated y is bitwise identical either way;
                      only cycle counts move)
-  --sys-threads N    host threads per multi-cluster run: the parallel
-                     System engine gives each cluster its own worker
-                     thread, up to N; 1 = serial engine; 0 = auto
-                     (min(clusters, hardware threads / --jobs), a
-                     shared budget so jobs x threads never
-                     oversubscribes). Simulated results, result
-                     files, and traces are bitwise identical for
-                     every value; only wall-clock moves        [1]
 
 Workload shape:
   --rows N           matrix rows (csrmv; ignored by spvv) [192]
@@ -298,12 +290,6 @@ int main(int argc, char** argv) {
     } else {
       return false;
     }
-    return true;
-  });
-  parser.add_value("--sys-threads", [&](const std::string& v) {
-    std::uint64_t n = 0;
-    if (!cli::parse_u64(v, n, 1024)) return false;  // 0 = auto
-    spec.options.sys_threads = static_cast<unsigned>(n);
     return true;
   });
   parser.add_value("--rows", [&](const std::string& v) {

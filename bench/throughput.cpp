@@ -1,19 +1,17 @@
 // throughput — the simulator's host-throughput harness. One binary, one
 // timing loop, one record schema (issr-throughput-v1), one JSON writer.
 // It measures MCPS (million simulated core-cycles per wall-second) on
-// four fixed record groups and pins their exact simulated cycle counts:
+// three fixed record groups and pins their exact simulated cycle counts:
 //
 //   cc    — the seven Fig. 4a/4b/4c scenarios, timed under the compiled
 //           tier and again under the pure interpreter (same cycles);
 //   sweep — a cache-friendly fig4a/4b/4c scenario mix through the sweep
 //           engine, checked bytewise against a serial, uncached sweep;
-//   scale — the four-family CsrMV mix at full scale on 1/2/4/8 clusters
-//           (simulated time-to-solution speedup over one cluster);
-//   par   — the same mix at half scale, serial System engine vs one host
-//           thread per cluster (the cycles of both engines must agree).
+//   scale — the four-family CsrMV mix on 1/2/4/8 clusters (simulated
+//           time-to-solution speedup over one cluster).
 //
 // Simulated cycle counts are workload invariants (independent of host
-// speed, jobs, threads, tiers and --no-fast-forward): every timed rep must
+// speed, jobs, tiers and --no-fast-forward): every timed rep must
 // reproduce its warm-up's cycles or the harness aborts, and
 // scripts/check_bench.py gates them against bench/baseline_throughput.json.
 #include <algorithm>
@@ -54,7 +52,7 @@ Options:
   --no-fast-forward  tick every cycle instead of skipping provably idle
                      stretches (simulated cycle counts are identical)
   --compiled, --no-compiled
-                     execution tier of the sweep/scale/par groups (the cc
+                     execution tier of the sweep and scale groups (the cc
                      group always times both tiers)
   --help             this text
 
@@ -63,14 +61,14 @@ measurement, {group, name, cycles, core_cycles, reps, seconds, mcps, ...}.
 Check it with scripts/check_bench.py.
 )";
 
-constexpr unsigned kWorkers = 8;     ///< workers per cluster (scale, par)
+constexpr unsigned kWorkers = 8;     ///< workers per cluster (scale)
 constexpr unsigned kSweepReps = 4;   ///< reps per scenario in the sweep mix
 
 using Clock = std::chrono::steady_clock;
 /// Simulated cycles of one pass: a run's fingerprint, compared rep to rep.
 using Cycles = std::vector<std::uint64_t>;
 
-/// One way to run a workload (a tier, an engine); returns its cycles.
+/// One way to run a workload (a tier); returns its cycles.
 using Arm = std::function<Cycles()>;
 
 struct Timed {
@@ -335,7 +333,7 @@ bool sweep_group(double min_seconds, std::vector<Record>& out) {
   return identical && valid;
 }
 
-// --- scale / par: the four-family multi-cluster mix ------------------------
+// --- scale: the four-family multi-cluster mix -------------------------------
 
 struct Member {
   std::string name;
@@ -347,12 +345,11 @@ struct Member {
 /// bandwidth-hungry uniform matrix (fig4c-shaped, 51 nnz/row), a banded
 /// FEM-stencil structure, a torus-graph Laplacian, and a mildly skewed
 /// power-law graph whose unsplittable hub rows are the mix's Amdahl
-/// anchor. `half` halves every dimension except the torus side (64 ->
-/// 48). Each x is drawn right after its matrix, so operands are a fixed
-/// function of the seed.
-std::vector<Member> system_mix(bool half) {
-  const unsigned n = half ? 2048 : 4096;
-  const unsigned side = half ? 48 : 64;
+/// anchor. Each x is drawn right after its matrix, so operands are a
+/// fixed function of the seed.
+std::vector<Member> system_mix() {
+  constexpr unsigned n = 4096;
+  constexpr unsigned side = 64;
   const std::string h = std::to_string(n / 2);
   Rng rng(4);
   std::vector<Member> mix;
@@ -370,40 +367,29 @@ std::vector<Member> system_mix(bool half) {
   return mix;
 }
 
-/// One pass over the mix on `clusters` clusters and `threads` host
-/// threads (1 = serial System engine); returns each member's cycles.
-Cycles run_mix(const std::vector<Member>& mix, unsigned clusters,
-               unsigned threads) {
-  driver::SysTuning tuning;
-  tuning.sys_threads = threads;
+/// One pass over the mix on `clusters` clusters; returns each member's
+/// cycles.
+Cycles run_mix(const std::vector<Member>& mix, unsigned clusters) {
   Cycles cycles;
   for (const auto& m : mix) {
     cycles.push_back(driver::run_csrmv_sys(kernels::Variant::kIssr,
                                            sparse::IndexWidth::kU16, clusters,
                                            kWorkers, m.a, m.x, nullptr,
-                                           /*validate=*/false, {}, tuning)
+                                           /*validate=*/false, {}, {})
                          .sys.system.cycles);
   }
   return cycles;
 }
 
-Record mix_record(const char* group, std::string name, unsigned clusters,
-                  const Timed& t) {
-  const std::uint64_t cycles = sum(t.cycles);
-  Record r(group, std::move(name), cycles, cycles * clusters * kWorkers, t);
-  r.add("clusters", std::uint64_t{clusters});
-  return r;
-}
-
-/// Full-scale mix on the serial engine: simulated time-to-solution
-/// speedup over one cluster, for the mix and per member.
+/// The mix on the System engine: simulated time-to-solution speedup over
+/// one cluster, for the mix and per member.
 void scale_group(double min_seconds, std::vector<Record>& out) {
-  const auto mix = system_mix(/*half=*/false);
+  const auto mix = system_mix();
   Cycles one_cluster;
   for (const unsigned clusters : {1u, 2u, 4u, 8u}) {
     const std::string name = "scale_x" + std::to_string(clusters);
     const Timed t = time_loop(name, min_seconds, {[&] {
-      return run_mix(mix, clusters, 1);
+      return run_mix(mix, clusters);
     }})[0];
     if (clusters == 1) one_cluster = t.cycles;
     const double t2s = static_cast<double>(sum(one_cluster)) /
@@ -417,35 +403,13 @@ void scale_group(double min_seconds, std::vector<Record>& out) {
                          static_cast<double>(t.cycles[i])) +
                   "}";
     }
-    Record r = mix_record("scale", name, clusters, t);
+    const std::uint64_t cycles = sum(t.cycles);
+    Record r("scale", name, cycles, cycles * clusters * kWorkers, t);
+    r.add("clusters", std::uint64_t{clusters});
     r.add("t2s_speedup", t2s);
     r.add("scaling_efficiency", t2s / clusters);
     r.add("matrices", matrices + "]");
     out.push_back(std::move(r));
-  }
-}
-
-/// Half-scale mix on the serial engine (arm 0) and on one host thread
-/// per cluster (arm 1); the parallel engine must reproduce the serial
-/// cycles exactly.
-void par_group(double min_seconds, std::vector<Record>& out) {
-  const auto mix = system_mix(/*half=*/true);
-  for (const unsigned clusters : {1u, 2u, 4u, 8u}) {
-    const std::string x = "sys_x" + std::to_string(clusters);
-    std::vector<Arm> arms = {[&] { return run_mix(mix, clusters, 1); }};
-    if (clusters > 1) {
-      arms.push_back([&] { return run_mix(mix, clusters, clusters); });
-    }
-    const auto t = time_loop(x, min_seconds, arms);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const unsigned threads = i == 0 ? 1 : clusters;
-      Record r = mix_record(
-          "par", x + (i == 0 ? "_serial" : "_par" + std::to_string(threads)),
-          clusters, t[i]);
-      r.add("sys_threads", std::uint64_t{threads});
-      r.add("speedup", r.mcps() / t[0].mcps(r.core_cycles));
-      out.push_back(std::move(r));
-    }
   }
 }
 
@@ -534,7 +498,6 @@ int main(int argc, char** argv) {
   cc_group(min_seconds, records);
   const bool sweep_ok = sweep_group(min_seconds, records);
   scale_group(min_seconds, records);
-  par_group(min_seconds, records);
   print_table(records);
 
   if (!driver::write_text_file(out_path, to_json(records, min_seconds))) {

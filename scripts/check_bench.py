@@ -4,12 +4,13 @@
 Usage: check_bench.py [MEASURED.json] [--tolerance 0.25]
 
 MEASURED defaults to the committed BENCH_throughput.json. Records are
-matched by (group, name); each baseline record names the gates that apply
-to it through the fields it carries:
+matched by (group, name); a measured record without a baseline entry
+fails, so no record runs ungated. Each baseline record names the gates
+that apply to it through the fields it carries:
 
   cycles, runs        exact pins. Simulated cycle counts are workload
                       invariants (independent of host speed, jobs,
-                      threads, tiers and --no-fast-forward), so a mismatch
+                      tiers and --no-fast-forward), so a mismatch
                       is a modelling or mix change: if intentional,
                       regenerate the pins in the same commit.
   mcps, mcps_interpreted, speedup
@@ -21,9 +22,6 @@ to it through the fields it carries:
                       bound that --tolerance does not scale.
   outputs_identical   the sweep engine's results must match the serial,
                       uncached sweep byte for byte.
-
-Independently of the baseline, every `par` cluster count must report the
-same cycles on the serial and the parallel System engine.
 
 --tolerance 1 switches every host-timing gate off and keeps the rest.
 """
@@ -79,15 +77,9 @@ def check(measured, baseline, tolerance):
             failures.append(f"{tag}: sweep results differ from the serial, "
                             "uncached sweep")
 
-    by_clusters = {}
-    for (group, _), r in measured.items():
-        if group == "par":
-            by_clusters.setdefault(r["clusters"], set()).add(r["cycles"])
-    for clusters, cycles in sorted(by_clusters.items()):
-        if len(cycles) > 1:
-            failures.append(
-                f"par x{clusters}: serial and parallel engine disagree on "
-                f"simulated cycles ({sorted(cycles)})")
+    for key in sorted(measured.keys() - baseline.keys()):
+        failures.append(f"{'/'.join(key)}: no baseline entry - add one to "
+                        "bench/baseline_throughput.json")
     return failures
 
 

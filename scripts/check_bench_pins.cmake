@@ -1,7 +1,7 @@
 # Runs bench/throughput at a tiny wall budget and gates its output with
 # scripts/check_bench.py --tolerance 1: every cycle pin, the t2s speedup
-# bound, serial/parallel cycle agreement and sweep identity, without any
-# host-timing gate. Run by CTest as the `bench_throughput_pins` test:
+# bound and sweep identity, without any host-timing gate. Run by CTest as
+# the `bench_throughput_pins` test:
 #
 #   cmake -DTHROUGHPUT=<bin> -DPYTHON=<python3> -DCHECKER=<check_bench.py> \
 #         -DOUT=<json> -P scripts/check_bench_pins.cmake

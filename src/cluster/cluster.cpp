@@ -111,32 +111,6 @@ cycle_t Cluster::next_event(cycle_t now) const {
   return horizon;
 }
 
-cycle_t Cluster::next_seam(cycle_t now) const {
-  // A transferring DMA requests NoC beats (and moves shared-main data)
-  // every cycle it is ticked.
-  if (dma_->transferring()) return now;
-  cycle_t seam = kCycleNever;
-  // A pending completion promotes the next queued transfer to the moving
-  // state at its maturity cycle — beats may flow that same tick — and is
-  // also the event behind every controller-side buffer/capacity change,
-  // so probes may treat "blocked on a local DMA event" as kCycleNever.
-  const cycle_t dc = dma_->next_completion();
-  if (dc < seam) seam = dc;
-  if (controller_ && !controller_done_) {
-    const cycle_t cs =
-        controller_seam_probe_ ? controller_seam_probe_(now) : now;
-    // kCycleHold beats every local bound: an arrived controller polls the
-    // barrier each tick, so it must either park (nothing local pending) or
-    // tick only in coordinated cycles (a DMA completion is still maturing
-    // — letting the completion bound win would free-run those polls
-    // against frozen barrier state and miss a release another cluster
-    // decides in the meantime).
-    if (cs == kCycleHold) return dc == kCycleNever ? kCycleHold : now;
-    if (cs < seam) seam = cs;
-  }
-  return seam < now ? now : seam;
-}
-
 void Cluster::visit_wait_counters(const core::CounterVisitor& f) {
   for (auto& w : workers_) w->visit_wait_counters(f);
 }

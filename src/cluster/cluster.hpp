@@ -151,28 +151,6 @@ class Cluster {
   /// System's horizon then comes from the acting cluster).
   void set_controller_idle_until(cycle_t c) { controller_idle_until_ = c; }
 
-  /// Host-parallel lookahead hook (system/par_engine.hpp): a probe that
-  /// returns, from the cluster's *current* state, the earliest cycle >=
-  /// `now` at which the controller's tick may read or write state shared
-  /// across clusters — a SysBarrier arrive()/released() consumption, a
-  /// steal-queue try_request(), or a poll() at/after its ready cycle —
-  /// or kCycleNever when every such interaction is gated behind a local
-  /// DMA completion (which bounds next_seam separately). A probe that has
-  /// arrived at the SysBarrier while the release cycle is still undecided
-  /// returns kCycleHold: the lane must not tick further (the observation
-  /// timing of the pending release is architecturally visible), yet no
-  /// finite seam exists — the engine parks it until the barrier's
-  /// mutation epoch moves and the release_hint becomes finite. The probe is
-  /// consulted between ticks, must be side-effect free, and may read
-  /// shared state only through fields that are frozen while this cluster
-  /// is parked (see the determinism argument in docs/ARCHITECTURE.md).
-  /// Without a probe, an active controller pins the seam to `now` —
-  /// always correct, it just forces lockstep execution.
-  using SeamProbe = std::function<cycle_t(cycle_t)>;
-  void set_controller_seam_probe(SeamProbe probe) {
-    controller_seam_probe_ = std::move(probe);
-  }
-
   /// True iff all workers are quiescent, the DMA is drained, and the
   /// controller has finished.
   bool done(cycle_t now) const;
@@ -199,17 +177,6 @@ class Cluster {
   /// (set_controller_idle_until); a pending NoC-delayed DMA completion
   /// bounds the horizon by its maturity cycle so it can never be skipped.
   cycle_t next_event(cycle_t now) const;
-
-  /// Conservative interaction horizon for the host-parallel System engine:
-  /// the earliest cycle >= now at which this cluster's tick may touch
-  /// state shared with other clusters (NoC link/bank-group budgets, the
-  /// shared main memory, the SysBarrier, the steal work queue). `now`
-  /// while the DMA is moving beats; bounded by a pending DMA completion's
-  /// maturity (the first cycle a queued transfer can resume beats, and
-  /// the event every controller-side capacity change hangs off); bounded
-  /// by the controller seam probe while the controller is active. Ticks
-  /// strictly before the returned cycle are purely cluster-local.
-  cycle_t next_seam(cycle_t now) const;
 
   /// Apply `f` to every counter that advances during a pure-wait stretch
   /// (see core/engine.hpp), and re-prime accounting after a bulk replay.
@@ -247,7 +214,6 @@ class Cluster {
   HwBarrier barrier_;
   std::vector<std::unique_ptr<core::CoreComplex>> workers_;
   Controller controller_;
-  SeamProbe controller_seam_probe_;
   bool controller_done_ = true;
   cycle_t controller_idle_until_ = 0;
   /// Sink/prefix from attach_trace (null when untraced): classify_stop

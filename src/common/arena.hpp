@@ -5,21 +5,16 @@
 // between runs turns that churn into pointer bumps over chunks that are
 // allocated once and recycled for the whole sweep.
 //
-// Threading: allocate() takes an internal mutex so lazily-backed memory
-// pages may fault in from several simulation threads at once (the
-// host-parallel System engine advances clusters concurrently, and each
-// cluster's TCDM backs its pages from the run's shared arena). Everything
-// else — and in particular reset() — must still run single-threaded:
-// reset() invalidates every outstanding allocation, so it must only run
-// between simulations (the driver resets at task boundaries, after the
-// previous simulation's objects are destroyed).
+// Threading: an arena is single-threaded — one simulation at a time
+// allocates from it. reset() invalidates every outstanding allocation, so
+// it must only run between simulations (the driver resets at task
+// boundaries, after the previous simulation's objects are destroyed).
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/bitutil.hpp"
@@ -42,11 +37,6 @@ class Arena {
   void* allocate(std::size_t bytes,
                  std::size_t align = alignof(std::max_align_t)) {
     assert(is_pow2(align) && align <= alignof(std::max_align_t));
-    // Serializes concurrent page faults from parallel cluster threads.
-    // Allocation *order* may then vary across host schedules, but only
-    // host pointers depend on it — simulated contents are keyed by
-    // simulated address, so results stay bitwise reproducible.
-    std::lock_guard<std::mutex> lock(mutex_);
     if (!advance_to_fit(bytes, align)) return new_chunk(bytes);
     const std::size_t cursor = align_up(cursor_, align);
     std::uint8_t* p = chunks_[chunk_].data.get() + cursor;
@@ -108,7 +98,6 @@ class Arena {
   }
 
   std::size_t chunk_bytes_;
-  std::mutex mutex_;  ///< guards allocate() against concurrent page faults
   std::vector<Chunk> chunks_;
   std::size_t chunk_ = 0;   ///< index of the chunk being bumped
   std::size_t cursor_ = 0;  ///< offset of the next allocation in chunk_

@@ -27,7 +27,7 @@ bool Fpss::idle(cycle_t now) const {
 }
 
 std::optional<Fpss::IntWriteback> Fpss::pop_int_writeback(cycle_t now) {
-  if (int_wb_.empty() || int_wb_.front().ready_at > now) return std::nullopt;
+  if (int_wb_.empty() || int_wb_.front().ready > now) return std::nullopt;
   const auto& front = int_wb_.front();
   IntWriteback wb{front.rd, front.value};
   int_wb_.pop_front();

@@ -106,8 +106,8 @@ class Fpss {
   cycle_t next_event(cycle_t now) const {
     if (advanced_) return now;
     cycle_t e = self_wake_;
-    if (!int_wb_.empty() && int_wb_.front().ready_at < e) {
-      e = int_wb_.front().ready_at;
+    if (!int_wb_.empty() && int_wb_.front().ready < e) {
+      e = int_wb_.front().ready;
     }
     // Pipeline-drain completion flips idle() (and with it the core's
     // fpss-sync CSR stall and CC quiescence) at last_completion_. A drain
@@ -221,7 +221,7 @@ class Fpss {
   cycle_t self_wake_ = kCycleNever;  ///< earliest internal stall expiry
 
   struct PendingIntWb {
-    cycle_t ready_at;
+    cycle_t ready;  ///< first cycle the entry may retire
     std::uint8_t rd;
     std::uint64_t value;
   };

@@ -297,7 +297,7 @@ double paper_util_reference(kernels::Variant v, sparse::IndexWidth w) {
 Table perf_report_table(const std::vector<ScenarioResult>& results) {
   Table t("perf report (bottleneck diagnosis per scenario)");
   t.set_header({"scenario", "FPU util", "paper ref", "vs ref", "bottleneck",
-                "frac", "NoC link", "TCDM confl", "sys thr", "lockstep"});
+                "frac", "NoC link", "TCDM confl"});
   for (const auto& r : results) {
     // Dominant stall bucket: the largest non-useful-work bucket — where
     // this scenario's cycles actually went.
@@ -325,22 +325,10 @@ Table perf_report_table(const std::vector<ScenarioResult>& results) {
       ref_cell = fmt_f(ref, 2);
       vs_ref_cell = fmt_f(util / ref, 2);
     }
-    // Parallel-System columns: thread count the run used and the
-    // fraction of simulated cycles that had to execute in rotating-order
-    // lockstep (the engine's contention-bound floor — 1.00 means the
-    // quanta collapsed and host parallelism bought nothing). Serial runs
-    // show "-": the split only exists when the parallel engine ran.
-    const bool par_ran = r.par.host_threads > 1;
-    const double lockstep =
-        r.cycles > 0 ? static_cast<double>(r.par.lockstep_cycles) /
-                           static_cast<double>(r.cycles)
-                     : 0.0;
     t.add_row({r.scenario.name(), fmt_f(util), ref_cell, vs_ref_cell,
                trace::to_string(worst), fmt_f(r.stalls.fraction(worst)),
                fmt_f(r.metrics.value("util_noc_link")),
-               fmt_f(r.metrics.value("tcdm_conflict_rate")),
-               par_ran ? std::to_string(r.par.host_threads) : "-",
-               par_ran ? fmt_f(lockstep) : "-"});
+               fmt_f(r.metrics.value("tcdm_conflict_rate"))});
   }
   return t;
 }

@@ -15,7 +15,6 @@
 #include "driver/scenario.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/fault.hpp"
-#include "system/par_engine.hpp"
 #include "trace/stall.hpp"
 
 namespace issr::driver {
@@ -61,12 +60,6 @@ struct ScenarioResult {
   /// independent of `ok`, which reports simulation validity). Not a
   /// report column: it describes this invocation, not the simulation.
   bool trace_write_failed = false;
-  /// Host-side statistics of the parallel System engine, when one ran
-  /// (host_threads > 1; default-zero otherwise). Observational and
-  /// host-timing-dependent: surfaced through --metrics/--perf-report but
-  /// excluded from the result documents and the rep fingerprint, which
-  /// must stay bytewise identical at every thread count.
-  system::ParStats par;
 };
 
 /// Row status token for the results files ("ok" | "mismatch" | "fault" |
@@ -89,13 +82,6 @@ struct RunOptions {
   /// Deterministic fault-injection plan (sim/fault.hpp); null = none.
   /// Must outlive the sweep.
   const sim::FaultPlan* inject = nullptr;
-  /// Host threads per multi-cluster System run (--sys-threads): 0 = auto
-  /// (the sweep engine resolves it against a shared host-thread budget so
-  /// jobs x threads never oversubscribes; a standalone run_scenario call
-  /// resolves to min(clusters, hardware threads)), 1 = serial engine.
-  /// Purely observational: simulated results, result files, and traces
-  /// are bitwise identical at every value.
-  unsigned sys_threads = 1;
 };
 
 /// The trace file a scenario writes under `trace_dir` (filename logic

@@ -146,7 +146,6 @@ SysRun run_csrmv_sys(kernels::Variant variant, sparse::IndexWidth width,
   if (cores != 0) cfg.system.cluster.num_workers = cores;
   cfg.system.noc.link_beats_per_cycle = tuning.noc_links;
   cfg.system.noc.link_latency = tuning.noc_latency;
-  cfg.system.host_threads = tuning.sys_threads;
   cfg.steal = tuning.steal;
   cfg.max_cycles = aids.max_cycles;
   cfg.inject = aids.inject;

@@ -96,12 +96,8 @@ struct SweepOutcome {
 /// Expected relative wall cost of simulating `s` (arbitrary units,
 /// roughly proportional to simulated core-cycles weighted by the
 /// per-cycle expense of the engine it runs on). Only the ordering
-/// matters: the scheduler dispatches descending. `sys_threads` is the
-/// effective parallel-System thread count the run will use: a
-/// multi-cluster run's wall-clock shrinks with min(clusters, threads),
-/// so LPT ordering must divide by it or an 8-cluster row parallelized
-/// 8-wide would dispatch ahead of serial runs it no longer outlasts.
-double estimated_cost(const Scenario& s, unsigned sys_threads = 1);
+/// matters: the scheduler dispatches descending.
+double estimated_cost(const Scenario& s);
 
 /// Run the sweep. Results are bitwise independent of jobs/reps/cache.
 SweepOutcome run_sweep(const SweepSpec& spec);

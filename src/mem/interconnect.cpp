@@ -6,10 +6,7 @@ namespace issr::mem {
 
 void Interconnect::begin_cycle(cycle_t now) {
   // Budgets are per-cycle; begin_cycle must never be observable beyond
-  // that, because the host-parallel engine (system/par_engine.hpp) only
-  // calls it for coordinated cycles: a cycle in which no cluster requests
-  // a beat must behave identically whether or not it was begun. The
-  // monotonicity assert is the cheap canary for an ordering bug there.
+  // that. The monotonicity assert is the cheap canary for an ordering bug.
   assert(now >= last_begin_ && "interconnect cycles must begin in order");
   last_begin_ = now;
   for (auto& link : links_) {

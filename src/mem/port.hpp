@@ -98,7 +98,7 @@ class MemPort final {
 
   /// Move in-flight responses whose delay elapsed into the matured queue.
   void mature_until(cycle_t now) {
-    while (!inflight_.empty() && inflight_.front().ready_at <= now) {
+    while (!inflight_.empty() && inflight_.front().ready <= now) {
       matured_.push_back(inflight_.take_front().rsp);
     }
   }
@@ -138,12 +138,12 @@ class MemPort final {
   /// kCycleNever when fully drained.
   cycle_t next_event() const {
     if (has_pending_ || !matured_.empty()) return 0;
-    return inflight_.empty() ? kCycleNever : inflight_.front().ready_at;
+    return inflight_.empty() ? kCycleNever : inflight_.front().ready;
   }
 
  private:
   struct Flight {
-    cycle_t ready_at;
+    cycle_t ready;  ///< first cycle the entry may retire
     MemRsp rsp;
   };
 

@@ -62,7 +62,6 @@ class SysBarrier {
   /// for `c`.
   void arrive(unsigned c, cycle_t now, std::uint64_t operand = 0) {
     if (target_[c] != 0) return;  // already arrived, still waiting
-    ++epoch_;
     target_[c] = gen_ + 1;
     accum_ += operand;
     if (++arrived_ == n_) {
@@ -113,13 +112,6 @@ class SysBarrier {
   /// Clusters currently parked in the open generation (fault diagnostics).
   unsigned waiting() const { return arrived_; }
 
-  /// Mutation epoch: bumps on every effective arrive(). The host-parallel
-  /// System engine (system/par_engine.hpp) parks a cluster whose release
-  /// cycle is still undecided (release_hint == kCycleNever) and re-probes
-  /// it only when this counter moves — the only event that can decide the
-  /// release is another cluster's arrival.
-  std::uint64_t epoch() const { return epoch_; }
-
   /// Deterministic fault injection: swallow the next release broadcast so
   /// the barrier deadlocks (see sim/fault.hpp). Irreversible for the run.
   void inject_drop_next_release() { drop_next_release_ = true; }
@@ -137,7 +129,6 @@ class SysBarrier {
   // previous release (each must observe it before re-arriving).
   cycle_t release_at_ = 0;
   bool drop_next_release_ = false;  ///< injected deadlock (fault testing)
-  std::uint64_t epoch_ = 0;         ///< effective-arrive count (see epoch())
   std::uint64_t accum_ = 0;    ///< running reduction of the open generation
   std::uint64_t reduced_ = 0;  ///< reduction of the last completed generation
   trace::Tracer trace_;

@@ -187,22 +187,6 @@ class CsrmmShardController {
 
   void operator()(Cluster& cl, cycle_t now);
 
-  /// Seam probe (Cluster::set_controller_seam_probe). Mid-phase ticks are
-  /// bounded by local DMA completions (the tiles_done->arrive tick is a
-  /// writeback completion); an empty shard arrives at its first tick and
-  /// re-arrives inside each release-consumption tick, so between ticks it
-  /// is always `arrived_`; once arrived, hold until the release cycle is
-  /// decided, then seam exactly at it.
-  cycle_t seam_probe(cycle_t now) const {
-    if (finished_) return kCycleNever;
-    if (!started_) return now;
-    if (arrived_) {
-      const cycle_t hint = bar_->release_hint(idx_);
-      return hint == kCycleNever ? kCycleHold : hint;
-    }
-    return kCycleNever;
-  }
-
  private:
   enum class BufState { kIdle, kLoading, kReady, kWritingBack };
 
@@ -655,31 +639,6 @@ class StealCsrmmController {
     }
   }
 
-  /// Seam probe (Cluster::set_controller_seam_probe). Mirrors the CsrMV
-  /// steal probe with the phase dimension added: the active phase's claim
-  /// queue is touched by try_request whenever a claim slot is free and by
-  /// poll from the grant's precomputed delivery cycle; a phase_done_ that
-  /// persists between ticks only happens in the last-phase epilogue,
-  /// whose dispatch (and arrive) ticks are worker-paced. Non-last phases
-  /// arrive inside the (coordinated) tick that drains the phase.
-  cycle_t seam_probe(cycle_t now) const {
-    if (passed_) return kCycleNever;
-    if (!started_) return now;
-    if (arrived_) {
-      const cycle_t hint = bar_->release_hint(idx_);
-      return hint == kCycleNever ? kCycleHold : hint;
-    }
-    if (!phase_done_) {
-      const SysWorkQueue& q = (*queues_)[phase_];
-      if (q.outstanding(idx_)) return q.ready_at(idx_);
-      const unsigned busy = (state_[0] != BufState::kIdle ? 1u : 0u) +
-                            (state_[1] != BufState::kIdle ? 1u : 0u);
-      if (!exhausted_ && granted_.size() + busy < 3) return now;
-      return kCycleNever;  // next capacity change hangs off a DMA event
-    }
-    return now;  // last-phase epilogue: the arrive tick is worker-paced
-  }
-
  private:
   enum class BufState { kIdle, kLoading, kReady, kWritingBack };
 
@@ -882,12 +841,8 @@ SysCsrmmResult run_csrmm_system(const sparse::CsrMatrix& a,
           &images, queues, sys.barrier(), sys.noc(), c, workers, iw);
       sys.set_controller(
           c, [ctl](Cluster& cl, cycle_t now) { (*ctl)(cl, now); });
-      sys.cluster(c).set_controller_seam_probe(
-          [ctl](cycle_t now) { return ctl->seam_probe(now); });
-      // Not-done from the start: the seam probe must already be consulted
-      // for the first tick (which can issue a queue claim or arrive at
-      // the barrier), not only after the controller's own tick flips the
-      // done flag.
+      // Not-done from the start: the run can neither end nor fast-forward
+      // before the controller's first tick.
       sys.cluster(c).set_controller_done(false);
     }
   } else {
@@ -897,12 +852,8 @@ SysCsrmmResult run_csrmm_system(const sparse::CsrMatrix& a,
           workers, iw, sys.barrier(), c);
       sys.set_controller(
           c, [ctl](Cluster& cl, cycle_t now) { (*ctl)(cl, now); });
-      sys.cluster(c).set_controller_seam_probe(
-          [ctl](cycle_t now) { return ctl->seam_probe(now); });
-      // Not-done from the start: the seam probe must already be consulted
-      // for the first tick (which can issue a queue claim or arrive at
-      // the barrier), not only after the controller's own tick flips the
-      // done flag.
+      // Not-done from the start: the run can neither end nor fast-forward
+      // before the controller's first tick.
       sys.cluster(c).set_controller_done(false);
     }
   }

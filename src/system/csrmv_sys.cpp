@@ -58,22 +58,6 @@ class SysCsrmvController {
     }
   }
 
-  /// Seam probe (Cluster::set_controller_seam_probe): earliest cycle the
-  /// next tick may touch the SysBarrier. The shard phase is bounded by
-  /// local DMA completions (the finish->arrive tick is one), so it probes
-  /// kCycleNever; an empty shard arrives at its very first tick; once
-  /// arrived, the lane holds until the release cycle is decided and then
-  /// seams exactly at it.
-  cycle_t seam_probe(cycle_t now) const {
-    if (passed_) return kCycleNever;
-    if (arrived_) {
-      const cycle_t hint = bar_->release_hint(idx_);
-      return hint == kCycleNever ? kCycleHold : hint;
-    }
-    if (shard_) return kCycleNever;
-    return now;
-  }
-
  private:
   std::shared_ptr<ShardController> shard_;
   SysBarrier* bar_;
@@ -359,33 +343,6 @@ class StealCsrmvController {
     }
   }
 
-  /// Seam probe (Cluster::set_controller_seam_probe). Shared touches are
-  /// the claim queue (try_request at any tick with a free claim slot,
-  /// poll from the grant's precomputed delivery cycle) and the SysBarrier.
-  /// Capacity openings (a writeback completing, a grant landing) happen
-  /// in coordinated ticks and are visible to the probe before the next
-  /// tick, so "capacity available -> now" never lags a request by a
-  /// cycle. Epilogue dispatch ticks are worker-paced, so the whole
-  /// stretch up to the arrive runs coordinated.
-  cycle_t seam_probe(cycle_t now) const {
-    if (passed_) return kCycleNever;
-    if (!started_) return now;
-    if (arrived_) {
-      const cycle_t hint = bar_->release_hint(idx_);
-      return hint == kCycleNever ? kCycleHold : hint;
-    }
-    if (!work_done_) {
-      if (q_->outstanding(idx_)) return q_->ready_at(idx_);
-      unsigned busy = 0;
-      for (unsigned b = 0; b < nbuf_; ++b) {
-        if (state_[b] != BufState::kIdle) ++busy;
-      }
-      if (!exhausted_ && granted_.size() + busy < nbuf_ + 1) return now;
-      return kCycleNever;  // next capacity change hangs off a DMA event
-    }
-    return now;  // epilogue: the arrive tick is worker-paced
-  }
-
  private:
   enum class BufState { kIdle, kLoading, kReady, kWritingBack };
 
@@ -544,12 +501,8 @@ SysCsrmvResult run_csrmv_system(const sparse::CsrMatrix& a,
           c, workers, iw);
       sys.set_controller(
           c, [ctl](Cluster& cl, cycle_t now) { (*ctl)(cl, now); });
-      sys.cluster(c).set_controller_seam_probe(
-          [ctl](cycle_t now) { return ctl->seam_probe(now); });
-      // Not-done from the start: the seam probe must already be consulted
-      // for the first tick (which can issue a queue claim or arrive at
-      // the barrier), not only after the controller's own tick flips the
-      // done flag.
+      // Not-done from the start: the run can neither end nor fast-forward
+      // before the controller's first tick.
       sys.cluster(c).set_controller_done(false);
     }
   } else {
@@ -564,12 +517,8 @@ SysCsrmvResult run_csrmv_system(const sparse::CsrMatrix& a,
                                                       sys.barrier(), c);
       sys.set_controller(
           c, [ctl](Cluster& cl, cycle_t now) { (*ctl)(cl, now); });
-      sys.cluster(c).set_controller_seam_probe(
-          [ctl](cycle_t now) { return ctl->seam_probe(now); });
-      // Not-done from the start: the seam probe must already be consulted
-      // for the first tick (which can issue a queue claim or arrive at
-      // the barrier), not only after the controller's own tick flips the
-      // done flag.
+      // Not-done from the start: the run can neither end nor fast-forward
+      // before the controller's first tick.
       sys.cluster(c).set_controller_done(false);
     }
   }

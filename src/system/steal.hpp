@@ -127,16 +127,6 @@ class SysWorkQueue {
 
   bool outstanding(unsigned c) const { return pending_[c].active; }
 
-  /// Lookahead for the host-parallel System engine (system/par_engine.hpp):
-  /// the cycle cluster `c`'s outstanding claim first becomes deliverable —
-  /// poll() touches the NoC (an ingress link beat) from that cycle on, and
-  /// returns without any shared access before it — or kCycleNever when no
-  /// claim is outstanding. Reads only cluster `c`'s own pending slot, whose
-  /// fields are fixed at try_request() time.
-  cycle_t ready_at(unsigned c) const {
-    return pending_[c].active ? pending_[c].ready : kCycleNever;
-  }
-
   /// Poll for cluster `c`'s grant. Returns true once the reply has both
   /// arrived (request hop + serve slot + reply hop) and claimed an
   /// ingress link beat for its delivery; `item` is then the granted

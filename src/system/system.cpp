@@ -40,13 +40,12 @@ System::System(const SystemConfig& config,
 }
 
 void System::attach_trace(trace::TraceSink& sink) {
-  ordered_ = std::make_unique<OrderedSink>(sink);
   for (unsigned c = 0; c < num_clusters(); ++c) {
-    clusters_[c]->attach_trace(*ordered_, "c" + std::to_string(c) + ".");
+    clusters_[c]->attach_trace(sink, "c" + std::to_string(c) + ".");
   }
-  noc_.attach_trace(*ordered_);
-  barrier_.tracer().attach(*ordered_, ordered_->add_track("system", "barrier"));
-  trace_sink_ = ordered_.get();
+  noc_.attach_trace(sink);
+  barrier_.tracer().attach(sink, sink.add_track("system", "barrier"));
+  trace_sink_ = &sink;
 }
 
 SystemResult System::run(cycle_t max_cycles) {
@@ -54,7 +53,7 @@ SystemResult System::run(cycle_t max_cycles) {
   // which cluster's DMA claims a contended bank group (and which steal
   // request reaches the work queue) first in a cycle — a deterministic
   // function of the cycle number, so no cluster is statically favored
-  // and runs stay reproducible regardless of host parallelism.
+  // and runs stay reproducible.
   struct Units {
     System& s;
     void tick(cycle_t now) {
@@ -87,31 +86,9 @@ SystemResult System::run(cycle_t max_cycles) {
       for (auto& c : s.clusters_) c->resync_account();
     }
   };
-  core::EngineRun er;
+  const core::EngineRun er =
+      core::run_engine(Units{*this}, max_cycles, config_.fast_forward);
   SystemResult result;
-  // Per-cluster fast-forward attribution handed to harvest. The serial
-  // engine only has the system-wide skip count; the parallel engine
-  // knows each lane's. Both are diagnostics, never part of result files.
-  std::vector<cycle_t> lane_skipped;
-  const unsigned eff =
-      resolve_host_threads(config_.host_threads, num_clusters());
-  // The parallel engine requires a strictly positive release latency: a
-  // zero-latency SysBarrier release is observable in its own arrival
-  // cycle, an ordering only the serial rotation reproduces.
-  if (eff >= 2 && num_clusters() >= 2 && barrier_.release_latency() > 0) {
-    std::vector<Cluster*> lanes;
-    lanes.reserve(clusters_.size());
-    for (auto& c : clusters_) lanes.push_back(c.get());
-    ParOutcome po =
-        run_parallel(lanes, noc_, barrier_, max_cycles, config_.fast_forward,
-                     eff, ordered_.get());
-    er = po.run;
-    lane_skipped = std::move(po.lane_skipped);
-    result.par = po.stats;
-  } else {
-    er = core::run_engine(Units{*this}, max_cycles, config_.fast_forward);
-    lane_skipped.assign(num_clusters(), er.skipped);
-  }
   const cycle_t now = er.cycles;
   const bool aborted = er.stop != core::EngineStop::kDone;
 
@@ -124,7 +101,7 @@ SystemResult System::run(cycle_t max_cycles) {
   noc_.set_unlimited(true);
   for (unsigned c = 0; c < num_clusters(); ++c) {
     result.clusters.push_back(
-        clusters_[c]->harvest(now, lane_skipped[c], aborted));
+        clusters_[c]->harvest(now, er.skipped, aborted));
     if (aborted) {
       result.clusters.back().fault =
           clusters_[c]->classify_stop(er.stop, now, er.last_horizon, c);

@@ -28,7 +28,6 @@
 #include "mem/interconnect.hpp"
 #include "mem/main_mem.hpp"
 #include "system/barrier.hpp"
-#include "system/par_engine.hpp"
 
 namespace issr::system {
 
@@ -52,13 +51,8 @@ struct SystemConfig {
   unsigned barrier_fan_in = 4;
   /// Skip provably idle cycle stretches (exact; see core/engine.hpp).
   bool fast_forward = core::engine_fast_forward_default();
-  /// Host threads for the parallel System engine (system/par_engine.hpp):
-  /// each cluster advances on its own thread through provably
-  /// cluster-local cycles, with seam cycles executed in the serial
-  /// rotating order — results are bitwise identical at every setting.
-  /// 1 (the default — a library embedder must opt in to host threads)
-  /// runs the serial lockstep engine; 0 = auto (min(num_clusters,
-  /// hardware_concurrency)); clamped to num_clusters.
+  /// No-op: kept only so existing callers that still assign it compile.
+  /// Every System runs the serial lockstep engine; nothing reads this.
   unsigned host_threads = 1;
   /// When non-null, backs the shared main memory and every cluster's
   /// TCDM pages (observational only; common/arena.hpp).
@@ -90,11 +84,6 @@ struct SystemResult {
   /// into busy fractions (beats granted / offered link capacity) without
   /// re-deriving the configuration.
   mem::InterconnectConfig noc_config;
-  /// Host-side statistics of the engine that ran (host_threads == 1 when
-  /// the serial engine did). Observational and host-dependent — surfaced
-  /// by --metrics / --perf-report, never serialized into result files.
-  ParStats par;
-
   /// Attribution denominator: cycles x total worker count.
   std::uint64_t core_cycles() const {
     std::uint64_t workers = 0;
@@ -163,11 +152,6 @@ class System {
   mem::Interconnect noc_;
   SysBarrier barrier_;
   std::vector<std::unique_ptr<Cluster>> clusters_;
-  /// Order-restoring interposer between the simulation and the user's
-  /// sink, created by attach_trace (null when untraced). Interposed for
-  /// serial runs too (where it is a transparent passthrough), so traced
-  /// bytes are independent of the engine choice by construction.
-  std::unique_ptr<OrderedSink> ordered_;
   /// Sink from attach_trace (null when untraced): run() emits one
   /// instant on a "system"/"watchdog" track when a run ends in a Fault.
   trace::TraceSink* trace_sink_ = nullptr;
