@@ -9,13 +9,54 @@
 
 namespace issr::cluster {
 
+const ProgramImage& ProgramImages::intern(
+    std::shared_ptr<const isa::Program> program, bool compiled) {
+  ProgramImage* image = nullptr;
+  for (const auto& im : images_) {
+    if (im->program == program || *im->program == *program) {
+      image = im.get();
+      break;
+    }
+  }
+  if (image == nullptr) {
+    images_.push_back(std::make_unique<ProgramImage>());
+    image = images_.back().get();
+    image->program = std::move(program);
+  }
+  if (compiled && image->compiled == nullptr) {
+    image->compiled =
+        std::make_shared<const core::CompiledProgram>(*image->program);
+  }
+  return *image;
+}
+
+namespace {
+
+std::vector<std::shared_ptr<const isa::Program>> share_programs(
+    std::vector<isa::Program> programs) {
+  std::vector<std::shared_ptr<const isa::Program>> out;
+  out.reserve(programs.size());
+  for (auto& p : programs) {
+    out.push_back(std::make_shared<const isa::Program>(std::move(p)));
+  }
+  return out;
+}
+
+}  // namespace
+
 Cluster::Cluster(const ClusterConfig& config,
                  std::vector<isa::Program> worker_programs)
+    : Cluster(config, std::make_shared<ProgramImages>(),
+              share_programs(std::move(worker_programs))) {}
+
+Cluster::Cluster(
+    const ClusterConfig& config, std::shared_ptr<ProgramImages> images,
+    std::vector<std::shared_ptr<const isa::Program>> worker_programs)
     : config_(config),
-      programs_(std::move(worker_programs)),
+      images_(std::move(images)),
       main_(config.shared_main != nullptr ? config.shared_main : &own_main_),
       barrier_(config.num_workers) {
-  assert(programs_.size() == config_.num_workers);
+  assert(worker_programs.size() == config_.num_workers);
   // Two TCDM master ports per worker CC: shared (core+FPU+SSR) and ISSR.
   tcdm_ = std::make_unique<mem::Tcdm>(config_.tcdm, 2 * config_.num_workers);
   if (config_.arena != nullptr) {
@@ -28,22 +69,22 @@ Cluster::Cluster(const ClusterConfig& config,
   dma_ = std::make_unique<mem::Dma>(*tcdm_, *main_);
 
   for (unsigned w = 0; w < config_.num_workers; ++w) {
+    const ProgramImage& image =
+        images_->intern(std::move(worker_programs[w]), config_.compiled);
     core::CcParams cc = config_.cc;
     cc.core.hartid = w;
     assert(!cc.streamer.issr_lane.dedicated_idx_port &&
            "cluster model provides two TCDM ports per CC");
     workers_.push_back(std::make_unique<core::CoreComplex>(
-        cc, programs_[w], tcdm_->port(2 * w), tcdm_->port(2 * w + 1)));
+        cc, *image.program, tcdm_->port(2 * w), tcdm_->port(2 * w + 1)));
     workers_.back()->core().set_barrier_hook(
         [this](std::uint32_t hart) { return barrier_.poll(hart); });
     if (config_.compiled) {
       // Compiled dispatch + FREP replay only; the fused steady-state tick
       // needs the ideal two-port memory (TCDM responses interleave with
       // other workers' traffic).
-      compiled_.push_back(
-          std::make_shared<const core::CompiledProgram>(programs_[w]));
-      workers_.back()->core().set_compiled(compiled_.back().get());
-      workers_.back()->fpss().set_compiled(compiled_.back().get());
+      workers_.back()->core().set_compiled(image.compiled.get());
+      workers_.back()->fpss().set_compiled(image.compiled.get());
     }
   }
 }

@@ -55,6 +55,34 @@ struct ClusterConfig {
   mem::MainMemory* shared_main = nullptr;
 };
 
+/// A worker program plus its compiled translation: the image every worker
+/// running that program references. Immutable once interned, except that
+/// the translation is filled in by the first compiled request.
+struct ProgramImage {
+  std::shared_ptr<const isa::Program> program;
+  /// Null until a cluster with the compiled tier on interns the program.
+  std::shared_ptr<const core::CompiledProgram> compiled;
+};
+
+/// One image and at most one translation per distinct worker program. A
+/// System shares one table among all its clusters — in steal mode every
+/// cluster runs the same worker programs, so N clusters translate each
+/// once instead of N times; a standalone Cluster owns its own table and
+/// goes through the same lookup. The key is identity first (the same
+/// shared program handed to several clusters) and Program::operator==
+/// second, so equal programs built separately share one image too. Not
+/// thread-safe: one table per simulation.
+class ProgramImages {
+ public:
+  /// The image of `program`, added on first sight; translated once the
+  /// first time a caller asks for the compiled tier.
+  const ProgramImage& intern(std::shared_ptr<const isa::Program> program,
+                             bool compiled);
+
+ private:
+  std::vector<std::unique_ptr<ProgramImage>> images_;
+};
+
 /// Per-run cluster statistics.
 struct ClusterResult {
   cycle_t cycles = 0;
@@ -121,8 +149,16 @@ class Cluster {
   /// engine skips them during fast-forwarded idle stretches).
   using Controller = std::function<void(Cluster&, cycle_t)>;
 
+  /// Standalone cluster: interns `worker_programs` (one per worker) into
+  /// a table of its own.
   Cluster(const ClusterConfig& config,
           std::vector<isa::Program> worker_programs);
+
+  /// Cluster whose workers reference images in `images`, a table shared
+  /// with the other clusters of a System; worker w runs
+  /// `worker_programs[w]`.
+  Cluster(const ClusterConfig& config, std::shared_ptr<ProgramImages> images,
+          std::vector<std::shared_ptr<const isa::Program>> worker_programs);
 
   unsigned num_workers() const {
     return static_cast<unsigned>(workers_.size());
@@ -203,10 +239,9 @@ class Cluster {
 
  private:
   ClusterConfig config_;
-  std::vector<isa::Program> programs_;
-  /// One compiled translation per worker program (empty when the
-  /// compiled tier is off).
-  std::vector<std::shared_ptr<const core::CompiledProgram>> compiled_;
+  /// The table the workers' program images live in (shared with the
+  /// other clusters of a System); the workers hold references into it.
+  std::shared_ptr<ProgramImages> images_;
   std::unique_ptr<mem::Tcdm> tcdm_;
   mem::MainMemory own_main_;
   mem::MainMemory* main_;  ///< &own_main_ or config.shared_main

@@ -1,18 +1,28 @@
 #include "mem/backing_store.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cstring>
 
 namespace issr::mem {
 
 const std::uint8_t* BackingStore::page_for_read(addr_t addr) const {
   const addr_t idx = addr / kPageBytes;
-  if (idx == memo_page_) return memo_data_;
+  CacheSlot& slot = cache_[idx % kCacheSlots];
+  if (slot.page == idx) return slot.data;
   const auto it = pages_.find(idx);
-  if (it == pages_.end()) return nullptr;  // absent pages are not memoized
-  memo_page_ = idx;
-  memo_data_ = it->second;
+  if (it == pages_.end()) return nullptr;  // absent pages are not cached
+  slot = {idx, it->second};
   return it->second;
+}
+
+std::uint8_t* BackingStore::page_for_write(addr_t addr) {
+  const addr_t idx = addr / kPageBytes;
+  CacheSlot& slot = cache_[idx % kCacheSlots];
+  if (slot.page == idx) return slot.data;
+  auto& page = pages_[idx];
+  if (page == nullptr) page = allocate_page();
+  slot = {idx, page};
+  return page;
 }
 
 std::uint8_t* BackingStore::allocate_page() {
@@ -27,55 +37,14 @@ std::uint8_t* BackingStore::allocate_page() {
   return page;
 }
 
-std::uint64_t BackingStore::load_u64_memo_miss(addr_t addr,
-                                               PageMemo& memo) const {
-  const std::size_t off = addr % kPageBytes;
-  if (off + 8 > kPageBytes) return load(addr, 8);  // page-straddling
-  const auto it = pages_.find(addr / kPageBytes);
-  if (it == pages_.end()) return 0;  // absent pages are not memoized
-  memo.page = addr / kPageBytes;
-  memo.data = it->second;
-  std::uint64_t v;
-  std::memcpy(&v, it->second + off, 8);
-  return v;
-}
+// Cache misses and the rare page-straddling access; the byte loops
+// assemble a straddling access little-endian, one page at a time.
 
-void BackingStore::store_u64_memo_miss(addr_t addr, std::uint64_t v,
-                                       PageMemo& memo) {
-  const std::size_t off = addr % kPageBytes;
-  if (off + 8 > kPageBytes) {
-    store(addr, v, 8);
-    return;
-  }
-  std::uint8_t* page = page_for_write(addr);
-  memo.page = addr / kPageBytes;
-  memo.data = page;
-  std::memcpy(page + off, &v, 8);
-}
-
-std::uint8_t* BackingStore::page_for_write(addr_t addr) {
-  const addr_t idx = addr / kPageBytes;
-  if (idx == memo_page_) return memo_data_;
-  auto& page = pages_[idx];
-  if (page == nullptr) page = allocate_page();
-  memo_page_ = idx;
-  memo_data_ = page;
-  return page;
-}
-
-// The fast paths memcpy whole accesses within one page, which (like the
-// raw-byte DMA/staging block copies below) assumes a little-endian host;
-// the byte loops handle the rare page-straddling access.
-
-std::uint64_t BackingStore::load(addr_t addr, unsigned bytes) const {
-  assert(bytes == 1 || bytes == 2 || bytes == 4 || bytes == 8);
+std::uint64_t BackingStore::load_slow(addr_t addr, unsigned bytes) const {
   const std::size_t off = addr % kPageBytes;
   if (off + bytes <= kPageBytes) {
     const std::uint8_t* page = page_for_read(addr);
-    if (page == nullptr) return 0;
-    std::uint64_t v = 0;
-    std::memcpy(&v, page + off, bytes);
-    return v;
+    return page != nullptr ? read_le(page + off, bytes) : 0;
   }
   std::uint64_t v = 0;
   for (unsigned i = 0; i < bytes; ++i) {
@@ -87,11 +56,10 @@ std::uint64_t BackingStore::load(addr_t addr, unsigned bytes) const {
   return v;
 }
 
-void BackingStore::store(addr_t addr, std::uint64_t v, unsigned bytes) {
-  assert(bytes == 1 || bytes == 2 || bytes == 4 || bytes == 8);
+void BackingStore::store_slow(addr_t addr, std::uint64_t v, unsigned bytes) {
   const std::size_t off = addr % kPageBytes;
   if (off + bytes <= kPageBytes) {
-    std::memcpy(page_for_write(addr) + off, &v, bytes);
+    write_le(page_for_write(addr) + off, v, bytes);
     return;
   }
   for (unsigned i = 0; i < bytes; ++i) {
@@ -99,41 +67,6 @@ void BackingStore::store(addr_t addr, std::uint64_t v, unsigned bytes) {
     page_for_write(a)[a % kPageBytes] =
         static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
   }
-}
-
-std::uint8_t BackingStore::load_u8(addr_t addr) const {
-  return static_cast<std::uint8_t>(load(addr, 1));
-}
-std::uint16_t BackingStore::load_u16(addr_t addr) const {
-  return static_cast<std::uint16_t>(load(addr, 2));
-}
-std::uint32_t BackingStore::load_u32(addr_t addr) const {
-  return static_cast<std::uint32_t>(load(addr, 4));
-}
-std::uint64_t BackingStore::load_u64(addr_t addr) const {
-  return load(addr, 8);
-}
-double BackingStore::load_f64(addr_t addr) const {
-  const std::uint64_t raw = load_u64(addr);
-  double d;
-  std::memcpy(&d, &raw, sizeof d);
-  return d;
-}
-
-void BackingStore::store_u8(addr_t addr, std::uint8_t v) { store(addr, v, 1); }
-void BackingStore::store_u16(addr_t addr, std::uint16_t v) {
-  store(addr, v, 2);
-}
-void BackingStore::store_u32(addr_t addr, std::uint32_t v) {
-  store(addr, v, 4);
-}
-void BackingStore::store_u64(addr_t addr, std::uint64_t v) {
-  store(addr, v, 8);
-}
-void BackingStore::store_f64(addr_t addr, double v) {
-  std::uint64_t raw;
-  std::memcpy(&raw, &v, sizeof raw);
-  store_u64(addr, raw);
 }
 
 void BackingStore::write_block(addr_t addr, const void* src,

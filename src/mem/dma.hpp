@@ -47,6 +47,7 @@ struct DmaStats {
   std::uint64_t bytes = 0;
   std::uint64_t busy_cycles = 0;  ///< cycles with >= 1 channel transferring
   std::uint64_t noc_denied_cycles = 0;  ///< cycles >= 1 channel lost the NoC
+  bool operator==(const DmaStats&) const = default;
 };
 
 class Dma {

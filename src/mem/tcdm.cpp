@@ -1,6 +1,7 @@
 #include "mem/tcdm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <string>
 
@@ -12,8 +13,9 @@ Tcdm::Tcdm(const TcdmConfig& cfg, unsigned num_masters)
                      ? cfg.num_banks - 1
                      : 0),
       ports_(num_masters),
-      dma_claimed_(cfg.num_banks, false),
       rr_next_(cfg.num_banks, 0),
+      bank_words_((cfg.num_banks + 63) / 64, 0),
+      dma_words_((cfg.num_banks + 63) / 64, 0),
       bank_head_(cfg.num_banks, -1),
       cand_next_(num_masters, -1) {
   assert(cfg.num_banks > 0);
@@ -31,13 +33,16 @@ void Tcdm::attach_trace(trace::TraceSink& sink, const std::string& prefix) {
 
 unsigned Tcdm::claim_for_dma(std::uint32_t first_bank, std::uint32_t count) {
   unsigned claimed = 0;
+  std::uint32_t b = first_bank % cfg_.num_banks;
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t b = (first_bank + i) % cfg_.num_banks;
-    if (!dma_claimed_[b]) {
-      dma_claimed_[b] = true;
+    std::uint64_t& word = dma_words_[b / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
       ++claimed;
       ++stats_.dma_bank_claims;
     }
+    if (++b == cfg_.num_banks) b = 0;
   }
   return claimed;
 }
@@ -46,8 +51,8 @@ void Tcdm::tick(cycle_t now) {
   const unsigned n_ports = static_cast<unsigned>(ports_.size());
 
   // Mature in-flight responses and bucket pending requests into per-bank
-  // candidate lists (ascending master order within each list): one pass
-  // over the masters instead of a banks x masters scan.
+  // candidate lists (ascending master order within each list), marking
+  // each bank that gained a candidate: one pass over the masters.
   bool any_pending = false;
   for (unsigned m = n_ports; m-- > 0;) {
     MemPort& p = ports_[m];
@@ -61,62 +66,70 @@ void Tcdm::tick(cycle_t now) {
     const std::uint32_t b = bank_of(addr);
     cand_next_[m] = bank_head_[b];
     bank_head_[b] = static_cast<std::int32_t>(m);
+    bank_words_[b / 64] |= std::uint64_t{1} << (b % 64);
     any_pending = true;
   }
 
   if (any_pending) {
-    // Ascending-bank sweep keeps grant/trace ordering identical to the
-    // previous dense scan.
-    for (std::uint32_t b = 0; b < cfg_.num_banks; ++b) {
-      std::int32_t head = bank_head_[b];
-      if (head < 0) continue;
-      bank_head_[b] = -1;
-      if (dma_claimed_[b]) {
-        // Bank taken by DMA this cycle: all masters targeting it stall.
+    // Sweep only the marked banks, in ascending order (word by word,
+    // lowest set bit first), so grant and trace order match a dense
+    // scan over every bank.
+    for (std::size_t w = 0; w < bank_words_.size(); ++w) {
+      std::uint64_t marked = bank_words_[w];
+      bank_words_[w] = 0;
+      const std::uint64_t claimed = dma_words_[w];
+      for (; marked != 0; marked &= marked - 1) {
+        const unsigned bit = static_cast<unsigned>(std::countr_zero(marked));
+        const auto b = static_cast<std::uint32_t>(64 * w + bit);
+        const std::int32_t head = bank_head_[b];
+        bank_head_[b] = -1;
+        if ((claimed >> bit) & 1) {
+          // Bank taken by DMA this cycle: all masters targeting it stall.
+          unsigned losers = 0;
+          for (std::int32_t m = head; m >= 0; m = cand_next_[m]) {
+            ports_[m].note_stalled();
+            ++stats_.conflicts;
+            ++losers;
+          }
+          if (trace_ && losers > 0) {
+            trace_->record({now, bank_tracks_[b], trace::Phase::kInstant,
+                            "dma-claim-conflict", losers});
+          }
+          continue;
+        }
+        // Pick the candidate closest after the round-robin pointer so no
+        // master is statically prioritized; the rest lose this cycle.
+        const unsigned rr = rr_next_[b];
+        unsigned granted = 0;
+        unsigned best_dist = n_ports;
+        for (std::int32_t m = head; m >= 0; m = cand_next_[m]) {
+          const unsigned mu = static_cast<unsigned>(m);
+          const unsigned dist = mu >= rr ? mu - rr : mu + n_ports - rr;
+          if (dist < best_dist) {
+            best_dist = dist;
+            granted = mu;
+          }
+        }
         unsigned losers = 0;
         for (std::int32_t m = head; m >= 0; m = cand_next_[m]) {
+          if (static_cast<unsigned>(m) == granted) continue;
           ports_[m].note_stalled();
           ++stats_.conflicts;
           ++losers;
         }
         if (trace_ && losers > 0) {
           trace_->record({now, bank_tracks_[b], trace::Phase::kInstant,
-                          "dma-claim-conflict", losers});
+                          "conflict", losers});
         }
-        continue;
+        rr_next_[b] = granted + 1 == n_ports ? 0 : granted + 1;
+        ++stats_.grants;
+        ports_[granted].serve_pending(store_, now, cfg_.latency);
       }
-      // Pick the candidate closest after the round-robin pointer so no
-      // master is statically prioritized; the rest lose this cycle.
-      const unsigned rr = rr_next_[b];
-      unsigned granted = 0;
-      unsigned best_dist = n_ports;
-      for (std::int32_t m = head; m >= 0; m = cand_next_[m]) {
-        const unsigned mu = static_cast<unsigned>(m);
-        const unsigned dist = (mu + n_ports - rr) % n_ports;
-        if (dist < best_dist) {
-          best_dist = dist;
-          granted = mu;
-        }
-      }
-      unsigned losers = 0;
-      for (std::int32_t m = head; m >= 0; m = cand_next_[m]) {
-        if (static_cast<unsigned>(m) == granted) continue;
-        ports_[m].note_stalled();
-        ++stats_.conflicts;
-        ++losers;
-      }
-      if (trace_ && losers > 0) {
-        trace_->record({now, bank_tracks_[b], trace::Phase::kInstant,
-                        "conflict", losers});
-      }
-      rr_next_[b] = (granted + 1) % n_ports;
-      ++stats_.grants;
-      ports_[granted].serve_pending(store_, now, cfg_.latency);
     }
   }
 
   // DMA claims are per-cycle.
-  std::fill(dma_claimed_.begin(), dma_claimed_.end(), false);
+  for (std::uint64_t& w : dma_words_) w = 0;
 }
 
 cycle_t Tcdm::next_event() const {

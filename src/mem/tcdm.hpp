@@ -9,12 +9,14 @@
 // whole banks for the current cycle (claim_for_dma) before core-side
 // arbitration runs, modelling its 512-bit port.
 //
-// Arbitration is O(masters + banks) per cycle: one pass buckets pending
-// requests into per-bank candidate lists (intrusive linked lists over
-// scratch arrays, no allocation), then one ascending-bank sweep grants at
-// most one candidate per bank via the per-bank round-robin pointer. The
-// previous banks x masters scan was the cluster simulation's largest
-// per-cycle cost.
+// Arbitration costs what it serves: one pass buckets pending requests
+// into per-bank candidate lists (intrusive linked lists over scratch
+// arrays, no allocation) and marks each bank that gained a candidate in
+// a bitmask of 64-bit words; the grant sweep then visits only the marked
+// banks, lowest bit first, so grants and trace instants come out in the
+// same ascending-bank order a dense scan would give. DMA claims are the
+// same kind of bitmask. With 16 ports over 32 banks most banks are idle
+// in any cycle, and the sweep skips them a word at a time.
 #pragma once
 
 #include <cstdint>
@@ -98,8 +100,12 @@ class Tcdm {
   std::uint32_t bank_mask_ = 0;  ///< num_banks - 1 when a power of two
   BackingStore store_;
   std::vector<MemPort> ports_;
-  std::vector<bool> dma_claimed_;
   std::vector<unsigned> rr_next_;  ///< per-bank round-robin pointer
+  // Per-bank bitmasks, bank b at bit b % 64 of word b / 64: banks with a
+  // candidate this tick (set while bucketing, cleared by the sweep), and
+  // banks the DMA claimed for this cycle (cleared at the end of tick()).
+  std::vector<std::uint64_t> bank_words_;
+  std::vector<std::uint64_t> dma_words_;
   // Arbitration scratch (persistent to avoid per-cycle allocation):
   // head of each bank's candidate list / next candidate per master, both
   // -1-terminated and rebuilt each tick from the pending ports.

@@ -390,11 +390,10 @@ void Lane::deliver_bypass(mem::MemPort& port, mem::BackingStore& store) {
   if (bypass_.valid) {
     bypass_.valid = false;
     if (bypass_.is_write) {
-      store.store_u64(bypass_.addr, bypass_.wdata, data_memo_);
+      store.store_u64(bypass_.addr, bypass_.wdata);
       ++port.mutable_stats().writes;
     } else {
-      const std::uint64_t rdata = store.load_u64(
-          bypass_.addr, bypass_.is_idx ? idx_memo_ : data_memo_);
+      const std::uint64_t rdata = store.load_u64(bypass_.addr);
       ++port.mutable_stats().reads;
       advanced_tick_ = true;
       if (bypass_.is_idx) {

@@ -260,10 +260,6 @@ class Lane {
     std::uint64_t wdata = 0;
   };
   Bypass bypass_;
-  // Per-stream page memos for bypass delivery: the index walk and the
-  // data stream each run through their own pages.
-  mem::BackingStore::PageMemo idx_memo_;
-  mem::BackingStore::PageMemo data_memo_;
 
   // Data stream state.
   unsigned data_outstanding_ = 0;  ///< in-flight data reads

@@ -78,7 +78,8 @@ class SysCsrmvController {
 /// epilogue. Addresses are per worker — body sizes vary with the row
 /// share and li expansion.
 struct StealWorkerImage {
-  isa::Program program;
+  /// Shared by every cluster: the System stores and translates it once.
+  std::shared_ptr<const isa::Program> program;
   std::vector<addr_t> body_pc;  ///< [plan.buf.size() * tile + buffer]
   addr_t epilogue_pc = 0;
 };
@@ -163,7 +164,7 @@ StealWorkerImage build_steal_csrmv_worker(const sparse::CsrMatrix& a,
     kernels::emit_sync_and_disable(as);
   }
   kernels::emit_halt(as);
-  img.program = as.assemble();
+  img.program = std::make_shared<const isa::Program>(as.assemble());
   return img;
 }
 
@@ -445,7 +446,7 @@ SysCsrmvResult run_csrmv_system(const sparse::CsrMatrix& a,
   mc.cluster = cfg.system.cluster;
   mc.max_tile_rows = cfg.max_tile_rows;
 
-  std::vector<std::vector<isa::Program>> programs(n);
+  std::vector<std::vector<std::shared_ptr<const isa::Program>>> programs(n);
   std::vector<StealWorkerImage> images;
   if (result.steal) {
     // One fine-grained global plan: every cluster compiles every tile.
@@ -468,6 +469,8 @@ SysCsrmvResult run_csrmv_system(const sparse::CsrMatrix& a,
     }
     for (unsigned c = 0; c < n; ++c) {
       result.plans.push_back(plan);
+      // Every cluster runs the same worker images: the handles are
+      // shared, so the System stores and translates each program once.
       for (unsigned w = 0; w < workers; ++w) {
         programs[c].push_back(images[w].program);
       }
@@ -477,8 +480,8 @@ SysCsrmvResult run_csrmv_system(const sparse::CsrMatrix& a,
       result.plans.push_back(plan_tiles_range(
           a, mc, result.shard_begin[c], result.shard_begin[c + 1]));
       for (unsigned w = 0; w < workers; ++w) {
-        programs[c].push_back(
-            cluster::build_shard_worker_program(a, result.plans[c], mc, w));
+        programs[c].push_back(std::make_shared<const isa::Program>(
+            cluster::build_shard_worker_program(a, result.plans[c], mc, w)));
       }
     }
   }

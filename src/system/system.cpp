@@ -18,7 +18,8 @@ mem::InterconnectConfig noc_config(const SystemConfig& config) {
 }  // namespace
 
 System::System(const SystemConfig& config,
-               std::vector<std::vector<isa::Program>> programs_per_cluster)
+               std::vector<std::vector<std::shared_ptr<const isa::Program>>>
+                   programs_per_cluster)
     : config_(config),
       noc_(noc_config(config)),
       barrier_(config.num_clusters, config.barrier_hop_latency,
@@ -26,6 +27,7 @@ System::System(const SystemConfig& config,
   assert(config_.num_clusters >= 1);
   assert(programs_per_cluster.size() == config_.num_clusters);
   if (config_.arena != nullptr) main_.store().set_arena(config_.arena);
+  const auto images = std::make_shared<cluster::ProgramImages>();
   for (unsigned c = 0; c < config_.num_clusters; ++c) {
     ClusterConfig cc = config_.cluster;
     cc.shared_main = &main_;
@@ -34,7 +36,8 @@ System::System(const SystemConfig& config,
     // never invoked, so its flag is irrelevant, but keep them coherent.
     cc.fast_forward = config_.fast_forward;
     clusters_.push_back(
-        std::make_unique<Cluster>(cc, std::move(programs_per_cluster[c])));
+        std::make_unique<Cluster>(cc, images,
+                                  std::move(programs_per_cluster[c])));
     clusters_.back()->dma().set_noc(&noc_, c);
   }
 }

@@ -121,9 +121,13 @@ struct SystemResult {
 class System {
  public:
   /// `programs_per_cluster` must hold `num_clusters` entries of
-  /// `cluster.num_workers` worker programs each.
+  /// `cluster.num_workers` worker programs each. Every cluster references
+  /// one shared table of program images (cluster::ProgramImages): a
+  /// program handed to several clusters — steal mode hands every cluster
+  /// the same worker programs — is stored and translated once.
   System(const SystemConfig& config,
-         std::vector<std::vector<isa::Program>> programs_per_cluster);
+         std::vector<std::vector<std::shared_ptr<const isa::Program>>>
+             programs_per_cluster);
 
   unsigned num_clusters() const {
     return static_cast<unsigned>(clusters_.size());

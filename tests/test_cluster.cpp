@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "cluster/barrier.hpp"
 #include "cluster/csrmv_mc.hpp"
@@ -78,6 +79,37 @@ TEST(Cluster, WorkersShareTcdmAndBarrier) {
     EXPECT_EQ(cluster.tcdm().store().load_u64(sums + 8 * w), 28u)
         << "worker " << w;
   }
+}
+
+/// A short distinct program: `n` nops, then halt.
+isa::Program nop_program(unsigned n) {
+  Assembler a;
+  for (unsigned i = 0; i < n; ++i) a.nop();
+  kernels::emit_halt(a);
+  return a.assemble();
+}
+
+TEST(ProgramImages, OneImageAndTranslationPerDistinctProgram) {
+  ProgramImages images;
+  const auto p = std::make_shared<const isa::Program>(nop_program(3));
+  const ProgramImage& first = images.intern(p, /*compiled=*/false);
+  EXPECT_EQ(first.compiled, nullptr);
+  // Identity: the same handle again; the first compiled request
+  // translates the image once, later requests reuse the translation.
+  const ProgramImage& again = images.intern(p, /*compiled=*/true);
+  EXPECT_EQ(&again, &first);
+  ASSERT_NE(first.compiled, nullptr);
+  const core::CompiledProgram* translation = first.compiled.get();
+  // Equality: a separately built equal program shares the image.
+  const ProgramImage& equal = images.intern(
+      std::make_shared<const isa::Program>(nop_program(3)), true);
+  EXPECT_EQ(&equal, &first);
+  EXPECT_EQ(equal.compiled.get(), translation);
+  // A different program gets its own image.
+  const ProgramImage& other = images.intern(
+      std::make_shared<const isa::Program>(nop_program(4)), true);
+  EXPECT_NE(&other, &first);
+  EXPECT_NE(other.compiled.get(), translation);
 }
 
 TEST(TilePlan, CoversAllRowsWithoutOverlap) {

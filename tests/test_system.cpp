@@ -7,7 +7,9 @@
 // the scheduler's estimate).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "driver/report.hpp"
@@ -566,6 +568,69 @@ TEST(SystemCsrmm, FastForwardIdentity) {
   const auto ref = run_csrmm_system(a, b, cfg);
   EXPECT_EQ(ff.system.cycles, ref.system.cycles);
   EXPECT_TRUE(sparse::allclose(ff.y, ref.y, 0.0, 0.0));
+}
+
+// --- Compiled-tier invariance ----------------------------------------------
+
+/// Everything a compiled-tier toggle must leave unchanged in a System run:
+/// cycles plus every cluster's stall buckets, TCDM and DMA statistics.
+void expect_same_system(const SystemResult& on, const SystemResult& off) {
+  EXPECT_EQ(on.cycles, off.cycles);
+  EXPECT_FALSE(on.aborted);
+  ASSERT_EQ(on.clusters.size(), off.clusters.size());
+  for (std::size_t c = 0; c < on.clusters.size(); ++c) {
+    const auto& a = on.clusters[c];
+    const auto& b = off.clusters[c];
+    EXPECT_EQ(a.stalls, b.stalls) << "cluster " << c;
+    EXPECT_EQ(a.tcdm, b.tcdm) << "cluster " << c;
+    EXPECT_EQ(a.dma, b.dma) << "cluster " << c;
+  }
+}
+
+TEST(SystemCompiled, CsrmvStealInvariantUnderCompiledTier) {
+  Rng rng(2301);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 192, 160, 10);
+  const auto x = sparse::random_dense_vector(rng, a.cols());
+  for (const unsigned n : {2u, 4u}) {
+    SysCsrmvConfig cfg;
+    cfg.system.num_clusters = n;
+    cfg.steal = true;
+    cfg.system.cluster.compiled = true;
+    const auto on = run_csrmv_system(a, x, cfg);
+    cfg.system.cluster.compiled = false;
+    const auto off = run_csrmv_system(a, x, cfg);
+    SCOPED_TRACE(std::to_string(n) + " clusters");
+    ASSERT_TRUE(on.steal);
+    ASSERT_EQ(on.y.size(), off.y.size());
+    EXPECT_EQ(0, std::memcmp(on.y.data(), off.y.data(),
+                             on.y.size() * sizeof(double)));
+    expect_same_system(on.system, off.system);
+  }
+}
+
+TEST(SystemCompiled, CsrmmStealInvariantUnderCompiledTier) {
+  Rng rng(2302);
+  const auto a = sparse::random_fixed_row_nnz_matrix(rng, 96, 128, 10);
+  const auto b = sparse::random_dense_matrix(rng, a.cols(), 6);
+  for (const unsigned n : {2u, 4u}) {
+    SysCsrmmConfig cfg;
+    cfg.system.num_clusters = n;
+    cfg.steal = true;
+    cfg.system.cluster.compiled = true;
+    const auto on = run_csrmm_system(a, b, cfg);
+    cfg.system.cluster.compiled = false;
+    const auto off = run_csrmm_system(a, b, cfg);
+    SCOPED_TRACE(std::to_string(n) + " clusters");
+    ASSERT_TRUE(on.steal);
+    ASSERT_EQ(on.y.rows(), off.y.rows());
+    ASSERT_EQ(on.y.cols(), off.y.cols());
+    for (std::size_t r = 0; r < on.y.rows(); ++r) {
+      EXPECT_EQ(0, std::memcmp(on.y.row_ptr(r), off.y.row_ptr(r),
+                               on.y.cols() * sizeof(double)))
+          << "row " << r;
+    }
+    expect_same_system(on.system, off.system);
+  }
 }
 
 // --- Driver integration: the clusters axis ---------------------------------
